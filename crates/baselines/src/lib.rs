@@ -236,7 +236,7 @@ mod tests {
 }
 
 /// Result of one co-optimization round.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CoOptRound {
     /// Round number (1-based).
     pub round: usize,

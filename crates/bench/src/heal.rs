@@ -3,10 +3,11 @@
 //!
 //! [`heal_run`] is the piece that ties the resilience stack together:
 //!
-//! * the simulator executes each nest with
-//!   `Simulator::run_nest_with_plan`, which surfaces mid-run component
-//!   deaths as typed `SimError::Transient` faults instead of silently
-//!   completing work on dead hardware;
+//! * the simulator executes each nest with [`Simulator::run`], its
+//!   [`RunSpec`] carrying the plan overlay and the segment's start cycle,
+//!   which surfaces mid-run component deaths as typed
+//!   `SimError::Transient` faults instead of silently completing work on
+//!   dead hardware;
 //! * the [`ResilienceController`] classifies each incident
 //!   (transient → backoff + retry of the unfinished sets; persistent →
 //!   epoch bump + remap), quarantines flaky components (the run executes
@@ -14,11 +15,12 @@
 //!   them after a clean probation;
 //! * persistent faults remap the *remaining* iteration sets through the
 //!   degradation ladder: a fresh location-aware mapping from the degraded
-//!   [`MappingSession`] first, the nearest-region fallback second, serial
-//!   single-region execution last — and **no candidate is adopted without
-//!   passing `locmap-verify` with zero deny diagnostics** (the fallback
-//!   rungs knowingly give up η-minimality and balance, so exactly those
-//!   two codes are demoted to warnings there);
+//!   [`MappingSession`] first (its cached `Compiler::estimate` and a new
+//!   `Compiler::map` for the degraded machine), the nearest-region
+//!   fallback second, serial single-region execution last — and **no
+//!   candidate is adopted without passing `locmap-verify` with zero deny
+//!   diagnostics** (the fallback rungs knowingly give up η-minimality and
+//!   balance, so exactly those two codes are demoted to warnings there);
 //! * every decision lands in the recovery trace, and the merged
 //!   [`RunResult`] carries the [`ResilienceSummary`] (faults, retries,
 //!   remaps, MTTR, migration cost, degradation level) the `locmap heal`
@@ -34,7 +36,7 @@ use locmap_core::{
 };
 use locmap_loopir::{DataEnv, NestId, Program};
 use locmap_noc::{FaultComponent, FaultPlan, FaultState, LocmapError};
-use locmap_sim::{RunResult, SimError, Simulator};
+use locmap_sim::{RunResult, RunSpec, SimError, Simulator};
 use locmap_verify::{Code, Severity, VerifyConfig, VerifyMapping};
 use locmap_workloads::Workload;
 use std::fmt;
@@ -335,7 +337,9 @@ pub fn heal_run(
             if mapping.sets.is_empty() {
                 break;
             }
-            match sim.run_nest_with_plan(program, &mapping, data, &overlay, now) {
+            let spec =
+                RunSpec { program, mapping: &mapping, data, plan: Some((&overlay, now)), ctl: None };
+            match sim.run(&spec) {
                 Ok(r) => {
                     now = now.saturating_add(r.cycles);
                     merge(&mut total, &r);

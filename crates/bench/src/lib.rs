@@ -23,16 +23,16 @@ pub mod resilience;
 
 use locmap_baselines::{hardware_placement, optimize_layout};
 use locmap_core::{
-    mean_eta, Compiler, Inspector, InspectorCostModel, MappingOptions, NestMapping, OracleModel,
-    Platform,
+    mean_eta, Compiler, Inspector, InspectorCostModel, MapRequest, MappingOptions, NestMapping,
+    OracleModel, Platform,
 };
 use locmap_loopir::{DataEnv, NestId, Program};
+use locmap_noc::RunControl;
 use locmap_sim::{RunResult, SimConfig, Simulator};
 use locmap_workloads::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Which mapping scheme to evaluate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheme {
     /// The paper's baseline: round-robin iteration sets, location-blind.
     Default,
@@ -56,7 +56,7 @@ pub enum Scheme {
 }
 
 /// The metrics of one (benchmark, scheme) evaluation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AppOutcome {
     /// Benchmark name.
     pub name: String,
@@ -250,7 +250,10 @@ fn plan(
                 .iter()
                 .map(|&nid| {
                     let oracle = OracleModel(profile[nid.0 as usize].measured.clone());
-                    compiler.map_nest_with_model(program, nid, data, &oracle)
+                    let req = MapRequest { program, nest: nid, data };
+                    compiler
+                        .map(&req, Some(&oracle), &RunControl::unlimited())
+                        .expect("an unlimited RunControl never aborts")
                 })
                 .collect(),
             overhead: 0,

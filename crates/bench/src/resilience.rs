@@ -6,11 +6,12 @@
 //!
 //! 1. **fault-free** — the location-aware mapping on a healthy machine
 //!    (the reference everything degrades from);
-//! 2. **degraded-aware** — [`Compiler::new_degraded`] maps around the
-//!    faults (affinity folded onto redirect targets, dead regions
-//!    evacuated, only surviving cores placed) and runs on the faulted
-//!    simulator; irregular nests go through the bounded re-inspection
-//!    loop ([`Inspector::run_with_retry`]);
+//! 2. **degraded-aware** — a compiler built with
+//!    [`CompilerBuilder::faults`](locmap_core::CompilerBuilder::faults)
+//!    maps around the faults (affinity folded onto redirect targets, dead
+//!    regions evacuated, only surviving cores placed) and runs on the
+//!    faulted simulator; irregular nests go through the bounded
+//!    re-inspection loop ([`Inspector::run_with_retry`]);
 //! 3. **fault-oblivious** — round-robin over the surviving cores (the OS
 //!    never schedules onto a dead core, but the deal is location-blind),
 //!    on the same faulted simulator.
@@ -28,10 +29,9 @@ use locmap_loopir::{DataEnv, NestId, Program};
 use locmap_noc::{FaultPlan, FaultState, LocmapError};
 use locmap_sim::Simulator;
 use locmap_workloads::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Metrics of one arm (mapping scheme × machine state).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ArmOutcome {
     /// Measurement-pass execution cycles plus inspector overhead.
     pub cycles: u64,
@@ -46,7 +46,7 @@ pub struct ArmOutcome {
 }
 
 /// The three-way comparison for one workload under one fault state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResilienceOutcome {
     /// Benchmark name.
     pub name: String,
@@ -194,7 +194,7 @@ fn run_arm(
 /// Returns a typed error — never panics — when the fault state is not
 /// survivable (machine partitioned, all MCs dead, no core left, …); the
 /// checks are the same ones [`Simulator::set_faults`] and
-/// [`Compiler::new_degraded`] perform.
+/// [`CompilerBuilder::build`](locmap_core::CompilerBuilder::build) perform.
 pub fn evaluate_resilience(
     workload: &Workload,
     exp: &Experiment,
@@ -221,7 +221,7 @@ pub fn evaluate_resilience(
 /// The online arm: a fault timeline unfolds *mid-run* and the self-healing
 /// driver recovers, compared against an oracle that knew the final fault
 /// state upfront and mapped around it from cycle 0.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OnlineOutcome {
     /// Benchmark name.
     pub name: String,

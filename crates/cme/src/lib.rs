@@ -21,6 +21,7 @@
 //! ```
 //! use locmap_loopir::{Program, LoopNest, AffineExpr, Access, IterationSpace, DataEnv};
 //! use locmap_cme::{CmeConfig, CmeEstimator};
+//! use locmap_noc::RunControl;
 //!
 //! let mut p = Program::new("ex");
 //! let a = p.add_array("A", 8, 4096);
@@ -31,7 +32,8 @@
 //! let space = IterationSpace::enumerate(p.nest(id), &p.params());
 //! let sets = space.split_by_fraction(0.01);
 //! let est = CmeEstimator::new(CmeConfig::default())
-//!     .estimate(&p, p.nest(id), &space, &sets, &DataEnv::new());
+//!     .estimate(&p, p.nest(id), &space, &sets, &DataEnv::new(), &RunControl::unlimited())
+//!     .unwrap();
 //! // Unit-stride 8-byte elements on 64-byte lines: ~7/8 of accesses hit.
 //! assert!(est.hit_probability(10, 0) > 0.5);
 //! ```
@@ -45,15 +47,14 @@ use locmap_loopir::Access;
 use locmap_noc::{LocmapError, RunControl};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Iterations scanned between [`RunControl`] checkpoints inside
-/// [`CmeEstimator::estimate_ctl`]. Bounds the estimator's cancellation
+/// [`CmeEstimator::estimate`]. Bounds the estimator's cancellation
 /// latency: a set token is observed within this many iterations.
 pub const CHECKPOINT_INTERVAL: u64 = 1024;
 
 /// Configuration of the compile-time cache model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CmeConfig {
     /// Geometry of the modeled L1 (accesses that hit here never reach the
     /// LLC and are excluded from affinity computations).
@@ -105,7 +106,7 @@ impl CmeConfig {
 }
 
 /// Per-iteration-set, per-reference hit-probability estimates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CmeEstimate {
     /// `hit[set][ref]` = estimated probability that an access by this
     /// reference in this set hits in the LLC (given it missed L1).
@@ -203,26 +204,14 @@ impl CmeEstimator {
     /// at compile time the paper cannot run this for irregular codes (the
     /// inspector does it at runtime instead), but the estimator itself is
     /// agnostic — it just replays whatever addresses resolve.
-    pub fn estimate(
-        &self,
-        program: &Program,
-        nest: &LoopNest,
-        space: &IterationSpace,
-        sets: &[IterationSet],
-        data: &DataEnv,
-    ) -> CmeEstimate {
-        self.estimate_ctl(program, nest, space, sets, data, &RunControl::unlimited())
-            .expect("an unlimited RunControl never aborts")
-    }
-
-    /// [`estimate`](CmeEstimator::estimate) under cooperative control:
-    /// the symbolic execution checkpoints `ctl` every
+    ///
+    /// The symbolic execution checkpoints `ctl` every
     /// [`CHECKPOINT_INTERVAL`] iterations (one budget unit per iteration
-    /// scanned), so a cancellation or exhausted budget surfaces as a
-    /// typed error within that many iterations. `completed`/`total` in
-    /// the error count iteration *sets*. An uncancelled run returns the
-    /// bit-identical estimate of [`estimate`](CmeEstimator::estimate).
-    pub fn estimate_ctl(
+    /// scanned), so a cancellation or exhausted budget surfaces as a typed
+    /// error within that many iterations. `completed`/`total` in the error
+    /// count iteration *sets*. The control never changes the estimate of a
+    /// run it does not abort.
+    pub fn estimate(
         &self,
         program: &Program,
         nest: &LoopNest,
@@ -297,6 +286,7 @@ impl CmeEstimator {
 mod tests {
     use super::*;
     use locmap_loopir::AffineExpr;
+    use locmap_noc::RunControl;
 
     fn streaming_program(elems: u64) -> (Program, IterationSpace, Vec<IterationSet>) {
         let mut p = Program::new("stream");
@@ -313,7 +303,8 @@ mod tests {
     fn streaming_read_mostly_hits_l1_spatially() {
         let (p, space, sets) = streaming_program(8192);
         let est = CmeEstimator::new(CmeConfig { noise: 0.0, ..CmeConfig::default() })
-            .estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new());
+            .estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new(), &RunControl::unlimited())
+            .unwrap();
         // 8-byte elements, 32-byte L1 lines: 3 of 4 accesses hit L1.
         let mean_l1: f64 = (0..est.set_count()).map(|s| est.l1_hit_probability(s, 0)).sum::<f64>()
             / est.set_count() as f64;
@@ -327,7 +318,8 @@ mod tests {
         // LLC hit probability settles at ~0.5 — not lower, not higher.
         let (p, space, sets) = streaming_program(1 << 20);
         let est = CmeEstimator::new(CmeConfig { noise: 0.0, ..CmeConfig::default() })
-            .estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new());
+            .estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new(), &RunControl::unlimited())
+            .unwrap();
         let m = est.mean_hit_probability();
         assert!((m - 0.5).abs() < 0.05, "mean LLC hit {m}");
     }
@@ -345,7 +337,8 @@ mod tests {
         let space = IterationSpace::enumerate(p.nest(id), &p.params());
         let sets = space.split(elems as usize); // set 0 = pass 1, set 1 = pass 2
         let est = CmeEstimator::new(CmeConfig { noise: 0.0, ..CmeConfig::default() })
-            .estimate(&p, p.nest(id), &space, &sets, &DataEnv::new());
+            .estimate(&p, p.nest(id), &space, &sets, &DataEnv::new(), &RunControl::unlimited())
+            .unwrap();
         // First pass: only the line-size-difference hits (~0.5); second
         // pass: the whole array is resident (~1.0).
         let first = est.hit_probability(0, 0);
@@ -365,7 +358,8 @@ mod tests {
         let space = IterationSpace::enumerate(p.nest(id), &p.params());
         let sets = space.split(elems as usize);
         let est = CmeEstimator::new(CmeConfig { noise: 0.0, ..CmeConfig::default() })
-            .estimate(&p, p.nest(id), &space, &sets, &DataEnv::new());
+            .estimate(&p, p.nest(id), &space, &sets, &DataEnv::new(), &RunControl::unlimited())
+            .unwrap();
         assert!(est.alpha(0) < 0.65);
         assert!(est.alpha(1) > 0.9);
         assert!(est.alpha(1) > est.alpha(0) + 0.3);
@@ -375,8 +369,12 @@ mod tests {
     fn estimates_are_deterministic() {
         let (p, space, sets) = streaming_program(4096);
         let cfg = CmeConfig { noise: 0.1, sample_rate: 0.5, ..CmeConfig::default() };
-        let e1 = CmeEstimator::new(cfg).estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new());
-        let e2 = CmeEstimator::new(cfg).estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new());
+        let e1 = CmeEstimator::new(cfg)
+            .estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new(), &RunControl::unlimited())
+            .unwrap();
+        let e2 = CmeEstimator::new(cfg)
+            .estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new(), &RunControl::unlimited())
+            .unwrap();
         for s in 0..e1.set_count() {
             assert_eq!(e1.hit_probability(s, 0), e2.hit_probability(s, 0));
         }
@@ -386,7 +384,8 @@ mod tests {
     fn noise_perturbs_but_stays_in_range() {
         let (p, space, sets) = streaming_program(4096);
         let noisy = CmeEstimator::new(CmeConfig { noise: 0.3, ..CmeConfig::default() })
-            .estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new());
+            .estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new(), &RunControl::unlimited())
+            .unwrap();
         for s in 0..noisy.set_count() {
             let h = noisy.hit_probability(s, 0);
             assert!((0.0..=1.0).contains(&h));
@@ -404,7 +403,8 @@ mod tests {
     fn sampling_still_covers_all_sets() {
         let (p, space, sets) = streaming_program(8192);
         let est = CmeEstimator::new(CmeConfig { sample_rate: 0.3, noise: 0.0, ..CmeConfig::default() })
-            .estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new());
+            .estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new(), &RunControl::unlimited())
+            .unwrap();
         assert_eq!(est.set_count(), sets.len());
     }
 
@@ -416,13 +416,17 @@ mod tests {
 
     #[test]
     fn ctl_path_matches_plain_estimate_bit_for_bit() {
-        use locmap_noc::RunControl;
+        use locmap_noc::{Budget, CancelToken};
         let (p, space, sets) = streaming_program(8192);
         let cfg = CmeConfig { noise: 0.1, sample_rate: 0.5, ..CmeConfig::default() };
-        let plain =
-            CmeEstimator::new(cfg).estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new());
+        let plain = CmeEstimator::new(cfg)
+            .estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new(), &RunControl::unlimited())
+            .unwrap();
+        // A live control that checkpoints but never trips.
+        let budget = Budget::unlimited().with_work_units(u64::MAX);
+        let live = RunControl::new(CancelToken::new(), budget);
         let ctl = CmeEstimator::new(cfg)
-            .estimate_ctl(&p, &p.nests()[0], &space, &sets, &DataEnv::new(), &RunControl::unlimited())
+            .estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new(), &live)
             .unwrap();
         for s in 0..plain.set_count() {
             assert_eq!(plain.hit_probability(s, 0), ctl.hit_probability(s, 0));
@@ -432,23 +436,23 @@ mod tests {
 
     #[test]
     fn cancelled_estimate_returns_typed_error_with_progress() {
-        use locmap_noc::{Budget, CancelToken, LocmapError, RunControl};
+        use locmap_noc::{Budget, CancelToken, LocmapError};
         let (p, space, sets) = streaming_program(8192);
         let ctl = RunControl::new(CancelToken::cancel_after_polls(0), Budget::unlimited());
         let err = CmeEstimator::new(CmeConfig::default())
-            .estimate_ctl(&p, &p.nests()[0], &space, &sets, &DataEnv::new(), &ctl)
+            .estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new(), &ctl)
             .unwrap_err();
         assert!(matches!(err, LocmapError::Cancelled { total, .. } if total == sets.len()));
     }
 
     #[test]
     fn budget_bounds_estimator_work() {
-        use locmap_noc::{Budget, CancelToken, LocmapError, RunControl};
+        use locmap_noc::{Budget, CancelToken, LocmapError};
         let (p, space, sets) = streaming_program(8192);
         let cap = 2 * CHECKPOINT_INTERVAL;
         let ctl = RunControl::new(CancelToken::new(), Budget::unlimited().with_work_units(cap));
         let err = CmeEstimator::new(CmeConfig::default())
-            .estimate_ctl(&p, &p.nests()[0], &space, &sets, &DataEnv::new(), &ctl)
+            .estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new(), &ctl)
             .unwrap_err();
         match err {
             LocmapError::DeadlineExceeded { spent_units, .. } => {
@@ -476,7 +480,8 @@ mod more_tests {
         let space = IterationSpace::enumerate(p.nest(id), &p.params());
         let sets = space.split_by_fraction(0.01);
         let est = CmeEstimator::new(CmeConfig { noise: 0.0, ..CmeConfig::default() })
-            .estimate(&p, p.nest(id), &space, &sets, &DataEnv::new());
+            .estimate(&p, p.nest(id), &space, &sets, &DataEnv::new(), &RunControl::unlimited())
+            .unwrap();
         // Write-allocate: same spatial pattern as reads.
         let l1: f64 = (0..est.set_count()).map(|s| est.l1_hit_probability(s, 0)).sum::<f64>()
             / est.set_count() as f64;
@@ -496,11 +501,13 @@ mod more_tests {
         let small = CmeEstimator::new(
             CmeConfig { noise: 0.0, ..CmeConfig::default() }.with_llc_bytes(32 * 1024),
         )
-        .estimate(&p, p.nest(id), &space, &sets, &DataEnv::new());
+        .estimate(&p, p.nest(id), &space, &sets, &DataEnv::new(), &RunControl::unlimited())
+        .unwrap();
         let big = CmeEstimator::new(
             CmeConfig { noise: 0.0, ..CmeConfig::default() }.with_llc_bytes(1 << 20),
         )
-        .estimate(&p, p.nest(id), &space, &sets, &DataEnv::new());
+        .estimate(&p, p.nest(id), &space, &sets, &DataEnv::new(), &RunControl::unlimited())
+        .unwrap();
         // Second pass hits only if the array fits the modeled LLC.
         assert!(big.hit_probability(1, 0) > small.hit_probability(1, 0) + 0.3);
     }
@@ -519,7 +526,8 @@ mod more_tests {
         let space = IterationSpace::enumerate(p.nest(id), &p.params());
         let sets = space.split_by_fraction(0.01);
         let est = CmeEstimator::new(CmeConfig { noise: 0.0, ..CmeConfig::default() })
-            .estimate(&p, p.nest(id), &space, &sets, &data);
+            .estimate(&p, p.nest(id), &space, &sets, &data, &RunControl::unlimited())
+            .unwrap();
         let mean_l1: f64 = (0..est.set_count()).map(|s| est.l1_hit_probability(s, 0)).sum::<f64>()
             / est.set_count() as f64;
         assert!(mean_l1 > 0.99, "hot single element must live in L1 ({mean_l1})");

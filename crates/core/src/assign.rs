@@ -2,11 +2,10 @@
 
 use crate::vectors::{AffinityVec, Cac, EtaMetric, Mac};
 use locmap_noc::RegionId;
-use serde::{Deserialize, Serialize};
 
 /// How the α weight (cache affinity vs. memory affinity) is chosen for
 /// the shared-LLC objective `η = α·ηc + (1−α)·ηm`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum AlphaPolicy {
     /// Per-set α from the hit model: the estimated LLC-hit fraction of the
     /// set's network-visible accesses (the paper's scheme, §4).

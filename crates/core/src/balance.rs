@@ -8,11 +8,10 @@
 //! preferred region.
 
 use locmap_noc::{RegionGrid, RegionId};
-use serde::{Deserialize, Serialize};
 
 /// Summary of a balancing pass (the paper's Table 3 reports the fraction
 /// of iteration sets moved per benchmark).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BalanceReport {
     /// Iteration sets moved to another region.
     pub moved: usize,

@@ -21,10 +21,9 @@ use crate::vectors::{AffinityVec, Cac, CacPolicy, EtaMetric, Mac, MacPolicy};
 use locmap_cme::{CmeConfig, CmeEstimate, CmeEstimator};
 use locmap_loopir::{DataEnv, IterationSet, IterationSpace, NestId, Program};
 use locmap_noc::{FaultState, LocmapError, NodeId, RegionId, RunControl};
-use serde::{Deserialize, Serialize};
 
 /// How the shared-LLC (S-NUCA) assignment objective treats LLC misses.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SharedObjective {
     /// CAI counts all LLC-reaching accesses (hits *and* misses) at their
     /// home-bank regions — the engineering form of the paper's §3.8
@@ -39,7 +38,7 @@ pub enum SharedObjective {
 }
 
 /// Tunables of the mapping pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MappingOptions {
     /// Iteration-set size as a fraction of the nest (Table 4: 0.25 %).
     pub iteration_set_fraction: f64,
@@ -85,7 +84,7 @@ impl Default for MappingOptions {
 }
 
 /// The mapping produced for one loop nest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NestMapping {
     /// Which nest this schedules.
     pub nest: NestId,
@@ -113,6 +112,21 @@ impl NestMapping {
     pub fn core_of(&self, set: usize) -> NodeId {
         self.assignment[set]
     }
+}
+
+/// One unit of mapping work: map `nest` of `program` given `data`.
+///
+/// Borrows its inputs, so a batch over many nests of one program costs
+/// nothing to assemble. [`Compiler::map`] and [`Compiler::estimate`] take
+/// it directly; a [`crate::MappingSession`] fans many of them out.
+#[derive(Debug, Clone, Copy)]
+pub struct MapRequest<'a> {
+    /// The application owning the nest.
+    pub program: &'a Program,
+    /// Which nest to map.
+    pub nest: NestId,
+    /// Index-array contents, if irregular.
+    pub data: &'a DataEnv,
 }
 
 /// Fault-derived redirect tables the degraded-mode mapper consults.
@@ -252,22 +266,6 @@ impl Compiler {
         }
     }
 
-    /// Creates a compiler for `platform` with `options`.
-    #[deprecated(note = "use Compiler::builder")]
-    pub fn new(platform: Platform, options: MappingOptions) -> Self {
-        Self::build_clean(platform, options)
-    }
-
-    /// Creates a degraded-mode compiler (see [`Compiler::builder`]).
-    #[deprecated(note = "use Compiler::builder")]
-    pub fn new_degraded(
-        platform: Platform,
-        options: MappingOptions,
-        state: &FaultState,
-    ) -> Result<Self, LocmapError> {
-        Self::build_degraded(platform, options, state)
-    }
-
     fn build_clean(platform: Platform, options: MappingOptions) -> Self {
         let mac = Mac::compute(&platform, options.mac_policy);
         let cac = Cac::compute(&platform, options.cac_policy);
@@ -384,121 +382,94 @@ impl Compiler {
         &self.cac
     }
 
-    /// Maps one nest at compile time.
-    ///
-    /// Regular nests get the full affinity-driven schedule. Irregular nests
-    /// (when `data` lacks their index arrays) get a default round-robin
-    /// schedule with `needs_inspector = true`.
+    /// Maps one nest at compile time (see [`Compiler::map`]).
     pub fn map_nest(&self, program: &Program, nest_id: NestId, data: &DataEnv) -> NestMapping {
-        let estimate = self.estimate_nest(program, nest_id, data);
-        self.map_nest_with_estimate(program, nest_id, data, estimate)
+        self.map(&MapRequest { program, nest: nest_id, data }, None, &RunControl::unlimited())
+            .expect("an unlimited RunControl never aborts")
     }
 
-    /// [`Compiler::map_nest`] under cooperative control: both the CME
-    /// analysis and the affinity/mapping phases checkpoint `ctl`, so a
-    /// cancellation or exhausted budget aborts within a bounded number of
-    /// iterations and surfaces as [`LocmapError::Cancelled`] /
-    /// [`LocmapError::DeadlineExceeded`]. An uncancelled run returns the
-    /// bit-identical mapping of [`Compiler::map_nest`].
-    pub fn map_nest_ctl(
+    /// Maps one nest.
+    ///
+    /// Regular nests get the full affinity-driven schedule, built from
+    /// `model`'s hit rates: the inspector passes measured rates, the
+    /// Figure 15 oracle the profiled ones, and a session a cached CME
+    /// estimate. `None` means the compiler's own CME estimate, or all-miss
+    /// when CME is off. Irregular nests (when `data` lacks their index
+    /// arrays) get a default round-robin schedule with
+    /// `needs_inspector = true`.
+    ///
+    /// Both the CME analysis and the affinity/mapping phases checkpoint
+    /// `ctl`, so a cancellation or exhausted budget aborts within a bounded
+    /// number of iterations and surfaces as [`LocmapError::Cancelled`] /
+    /// [`LocmapError::DeadlineExceeded`]. The control never changes the
+    /// mapping of a run it does not abort, and neither does passing the
+    /// [`Compiler::estimate`] of an equivalent request as a [`CmeModel`].
+    pub fn map(
         &self,
-        program: &Program,
-        nest_id: NestId,
-        data: &DataEnv,
+        req: &MapRequest<'_>,
+        model: Option<&dyn HitModel>,
         ctl: &RunControl,
     ) -> Result<NestMapping, LocmapError> {
-        let estimate = self.estimate_nest_ctl(program, nest_id, data, ctl)?;
-        self.map_nest_with_estimate_ctl(program, nest_id, data, estimate, ctl)
+        let nest = req.program.nest(req.nest);
+        let space = IterationSpace::enumerate(nest, &req.program.params());
+        let sets = space.split_by_fraction(self.options.iteration_set_fraction);
+
+        if !Self::resolvable(nest, req.data) {
+            // Compile time cannot see through index arrays: emit the
+            // default schedule; the inspector will redo it at runtime.
+            let mapping = self.round_robin_schedule(req.nest, &sets);
+            return Ok(NestMapping { needs_inspector: true, ..mapping });
+        }
+
+        let cme;
+        let model: &dyn HitModel = match model {
+            Some(model) => model,
+            None if self.options.use_cme => {
+                let estimator = CmeEstimator::new(self.options.cme);
+                let e = estimator.estimate(req.program, nest, &space, &sets, req.data, ctl)?;
+                cme = CmeModel::new(e);
+                &cme
+            }
+            None => &AllMissModel,
+        };
+        self.map_with_model(req, &space, sets, model, ctl)
     }
 
-    /// Runs only the CME analysis phase of [`Compiler::map_nest`].
-    ///
-    /// Returns `None` when CME is disabled or the nest has index arrays
-    /// missing from `data` (nothing is statically analyzable). The estimate
-    /// depends on the nest, its data layout and the CME/sampling options —
-    /// not on the platform's fault state — so [`crate::MappingSession`]
-    /// reuses it across fault epochs.
+    /// Runs only the CME analysis phase of [`Compiler::map_nest`] (see
+    /// [`Compiler::estimate`]).
     pub fn estimate_nest(
         &self,
         program: &Program,
         nest_id: NestId,
         data: &DataEnv,
     ) -> Option<CmeEstimate> {
-        self.estimate_nest_ctl(program, nest_id, data, &RunControl::unlimited())
+        self.estimate(&MapRequest { program, nest: nest_id, data }, &RunControl::unlimited())
             .expect("an unlimited RunControl never aborts")
     }
 
-    /// [`Compiler::estimate_nest`] under cooperative control: the CME
-    /// symbolic execution checkpoints `ctl` every
-    /// [`locmap_cme::CHECKPOINT_INTERVAL`] iterations.
-    pub fn estimate_nest_ctl(
+    /// Runs only the CME analysis phase of [`Compiler::map`].
+    ///
+    /// Returns `None` when CME is disabled or the nest has index arrays
+    /// missing from `data` (nothing is statically analyzable). The estimate
+    /// depends on the nest, its data layout and the CME/sampling options —
+    /// not on the platform's fault state — so [`crate::MappingSession`]
+    /// reuses it across fault epochs. The CME symbolic execution
+    /// checkpoints `ctl` every [`locmap_cme::CHECKPOINT_INTERVAL`]
+    /// iterations.
+    pub fn estimate(
         &self,
-        program: &Program,
-        nest_id: NestId,
-        data: &DataEnv,
+        req: &MapRequest<'_>,
         ctl: &RunControl,
     ) -> Result<Option<CmeEstimate>, LocmapError> {
-        let nest = program.nest(nest_id);
-        if !self.options.use_cme || !Self::resolvable(nest, data) {
+        let nest = req.program.nest(req.nest);
+        if !self.options.use_cme || !Self::resolvable(nest, req.data) {
             return Ok(None);
         }
-        let space = IterationSpace::enumerate(nest, &program.params());
+        let space = IterationSpace::enumerate(nest, &req.program.params());
         let sets = space.split_by_fraction(self.options.iteration_set_fraction);
         CmeEstimator::new(self.options.cme)
-            .estimate_ctl(program, nest, &space, &sets, data, ctl)
+            .estimate(req.program, nest, &space, &sets, req.data, ctl)
             .map(Some)
-    }
-
-    /// Completes [`Compiler::map_nest`] from a precomputed CME estimate.
-    ///
-    /// `map_nest(p, n, d)` ≡ `map_nest_with_estimate(p, n, d,
-    /// estimate_nest(p, n, d))` bit for bit; passing a cached estimate from
-    /// an equivalent earlier call therefore cannot change the result.
-    pub fn map_nest_with_estimate(
-        &self,
-        program: &Program,
-        nest_id: NestId,
-        data: &DataEnv,
-        estimate: Option<CmeEstimate>,
-    ) -> NestMapping {
-        self.map_nest_with_estimate_ctl(program, nest_id, data, estimate, &RunControl::unlimited())
-            .expect("an unlimited RunControl never aborts")
-    }
-
-    /// [`Compiler::map_nest_with_estimate`] under cooperative control
-    /// (see [`Compiler::map_nest_ctl`] for the abort contract).
-    pub fn map_nest_with_estimate_ctl(
-        &self,
-        program: &Program,
-        nest_id: NestId,
-        data: &DataEnv,
-        estimate: Option<CmeEstimate>,
-        ctl: &RunControl,
-    ) -> Result<NestMapping, LocmapError> {
-        let nest = program.nest(nest_id);
-        let space = IterationSpace::enumerate(nest, &program.params());
-        let sets = space.split_by_fraction(self.options.iteration_set_fraction);
-
-        if !Self::resolvable(nest, data) {
-            // Compile time cannot see through index arrays: emit the
-            // default schedule; the inspector will redo it at runtime.
-            let mapping = self.round_robin_schedule(nest_id, &sets);
-            return Ok(NestMapping { needs_inspector: true, ..mapping });
-        }
-
-        match estimate {
-            Some(e) => {
-                let model = CmeModel::new(e);
-                self.map_with_model(program, nest_id, data, &space, sets, &model, ctl)
-            }
-            None if self.options.use_cme => {
-                let estimator = CmeEstimator::new(self.options.cme);
-                let e = estimator.estimate_ctl(program, nest, &space, &sets, data, ctl)?;
-                let model = CmeModel::new(e);
-                self.map_with_model(program, nest_id, data, &space, sets, &model, ctl)
-            }
-            None => self.map_with_model(program, nest_id, data, &space, sets, &AllMissModel, ctl),
-        }
     }
 
     /// Whether every reference of `nest` can be resolved at compile time
@@ -511,54 +482,21 @@ impl Compiler {
             })
     }
 
-    /// Maps a nest using an explicit hit model — the entry point for the
-    /// inspector (measured rates) and the Figure 15 oracle.
-    pub fn map_nest_with_model(
-        &self,
-        program: &Program,
-        nest_id: NestId,
-        data: &DataEnv,
-        model: &dyn HitModel,
-    ) -> NestMapping {
-        self.map_nest_with_model_ctl(program, nest_id, data, model, &RunControl::unlimited())
-            .expect("an unlimited RunControl never aborts")
-    }
-
-    /// [`Compiler::map_nest_with_model`] under cooperative control (see
-    /// [`Compiler::map_nest_ctl`] for the abort contract) — the entry
-    /// point for a deadline-bounded inspector.
-    pub fn map_nest_with_model_ctl(
-        &self,
-        program: &Program,
-        nest_id: NestId,
-        data: &DataEnv,
-        model: &dyn HitModel,
-        ctl: &RunControl,
-    ) -> Result<NestMapping, LocmapError> {
-        let nest = program.nest(nest_id);
-        let space = IterationSpace::enumerate(nest, &program.params());
-        let sets = space.split_by_fraction(self.options.iteration_set_fraction);
-        self.map_with_model(program, nest_id, data, &space, sets, model, ctl)
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn map_with_model(
         &self,
-        program: &Program,
-        nest_id: NestId,
-        data: &DataEnv,
+        req: &MapRequest<'_>,
         space: &IterationSpace,
         sets: Vec<IterationSet>,
         model: &dyn HitModel,
         ctl: &RunControl,
     ) -> Result<NestMapping, LocmapError> {
-        let nest = program.nest(nest_id);
+        let nest = req.program.nest(req.nest);
         let inputs = AffinityInputs {
-            program,
+            program: req.program,
             nest,
             space,
             sets: &sets,
-            data,
+            data: req.data,
             sample_stride: self.options.analysis_sample_stride,
         };
 
@@ -652,7 +590,7 @@ impl Compiler {
                     self.options.placement,
                     &d.alive_cores,
                 )
-                // new_degraded guarantees an alive region exists and every
+                // build_degraded guarantees an alive region exists and every
                 // set was redirected into one above.
                 .expect("degraded mapping keeps sets out of dead regions")
             }
@@ -660,7 +598,7 @@ impl Compiler {
         };
 
         Ok(NestMapping {
-            nest: nest_id,
+            nest: req.nest,
             sets,
             regions,
             assignment,
@@ -873,6 +811,48 @@ mod tests {
         let m1 = c.map_nest(&p, id, &DataEnv::new());
         let m2 = c.map_nest(&p, id, &DataEnv::new());
         assert_eq!(m1.assignment, m2.assignment);
+    }
+
+    #[test]
+    fn map_with_the_compilers_own_estimate_matches_map_nest() {
+        let (p, id) = streaming_program();
+        let c = Compiler::builder(Platform::paper_default()).build().unwrap();
+        let data = DataEnv::new();
+        let req = MapRequest { program: &p, nest: id, data: &data };
+        let ctl = RunControl::unlimited();
+        let estimate = c.estimate(&req, &ctl).unwrap().expect("regular nest with CME on");
+        let cached = c.map(&req, Some(&CmeModel::new(estimate)), &ctl).unwrap();
+        assert_eq!(cached, c.map_nest(&p, id, &data));
+        assert_eq!(c.map(&req, None, &ctl).unwrap(), cached);
+    }
+
+    #[test]
+    fn map_under_a_cancelled_control_is_a_typed_abort() {
+        use locmap_noc::{Budget, CancelToken};
+        let (p, id) = streaming_program();
+        let c = Compiler::builder(Platform::paper_default()).build().unwrap();
+        let data = DataEnv::new();
+        let req = MapRequest { program: &p, nest: id, data: &data };
+        let ctl = RunControl::new(CancelToken::cancel_after_polls(0), Budget::unlimited());
+        assert!(matches!(c.map(&req, None, &ctl), Err(LocmapError::Cancelled { .. })));
+        let ctl = RunControl::new(CancelToken::cancel_after_polls(0), Budget::unlimited());
+        assert!(matches!(c.estimate(&req, &ctl), Err(LocmapError::Cancelled { .. })));
+    }
+
+    #[test]
+    fn map_with_a_model_still_defers_unresolvable_nests() {
+        let mut p = Program::new("irr");
+        let a = p.add_array("A", 8, 1000);
+        let idx = p.add_array("idx", 4, 1000);
+        let mut nest = LoopNest::rectangular("n", &[1000]);
+        nest.add_indirect_ref(a, idx, AffineExpr::var(0, 1), Access::Read);
+        let id = p.add_nest(nest);
+        let c = Compiler::builder(Platform::paper_default()).build().unwrap();
+        let data = DataEnv::new();
+        let req = MapRequest { program: &p, nest: id, data: &data };
+        let m = c.map(&req, Some(&AllMissModel), &RunControl::unlimited()).unwrap();
+        assert!(m.needs_inspector);
+        assert!(c.estimate(&req, &RunControl::unlimited()).unwrap().is_none());
     }
 
     #[test]

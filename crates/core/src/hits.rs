@@ -12,7 +12,6 @@
 //!   reach memory, the unrefined MAI of §3.2 / Table 1 column 2.
 
 use locmap_cme::CmeEstimate;
-use serde::{Deserialize, Serialize};
 
 /// A source of per-(set, reference) hit probabilities.
 pub trait HitModel {
@@ -48,7 +47,7 @@ pub trait HitModel {
 
 /// Assume every access misses everywhere: the unrefined §3.2 MAI, used
 /// when CME is disabled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllMissModel;
 
 impl HitModel for AllMissModel {
@@ -91,7 +90,7 @@ impl HitModel for CmeModel {
 
 /// Measured per-(set, reference) rates, produced by the inspector phase at
 /// runtime (or by an oracle simulation for the optimality study).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MeasuredRates {
     /// `l1[set][r]` = measured L1 hit rate.
     pub l1: Vec<Vec<f64>>,
@@ -119,7 +118,7 @@ impl HitModel for MeasuredRates {
 /// Perfect knowledge (Figure 15): measured rates labeled as oracle
 /// provenance — identical numerics to [`MeasuredRates`], distinct type so
 /// experiment code cannot confuse inspector output with oracle output.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OracleModel(pub MeasuredRates);
 
 impl HitModel for OracleModel {

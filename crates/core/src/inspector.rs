@@ -12,12 +12,11 @@
 //! index arrays live in a [`DataEnv`]); this module performs steps 2–4 and
 //! accounts the runtime overhead that Figures 7c/8c report.
 
-use crate::compiler::{Compiler, NestMapping};
+use crate::compiler::{Compiler, MapRequest, NestMapping};
 use crate::hits::MeasuredRates;
 use crate::resilience::RetryPolicy;
 use locmap_loopir::{DataEnv, IterationSpace, NestId, Program};
 use locmap_noc::{LocmapError, RunControl};
-use serde::{Deserialize, Serialize};
 
 /// Cost model for inspector execution time.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// iteration's access log and runs the mapping algorithm. Costs are charged
 /// per analyzed access (log scan + affinity accumulation) and per iteration
 /// set (assignment + balancing), plus a fixed setup cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InspectorCostModel {
     /// Cycles to process one logged access.
     pub cycles_per_access: f64,
@@ -50,7 +49,7 @@ impl Default for InspectorCostModel {
 }
 
 /// Result of running the inspector on one nest.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InspectorReport {
     /// The runtime-derived mapping the executor will use.
     pub mapping: NestMapping,
@@ -61,7 +60,6 @@ pub struct InspectorReport {
     /// How many re-inspection rounds [`Inspector::run_with_retry`] needed
     /// (0 when the first mapping's predictions held up, or for plain
     /// [`Inspector::run`]).
-    #[serde(default)]
     pub retries: u32,
 }
 
@@ -129,7 +127,8 @@ impl<'a> Inspector<'a> {
         measured: &MeasuredRates,
         ctl: &RunControl,
     ) -> Result<InspectorReport, LocmapError> {
-        let mapping = self.compiler.map_nest_with_model_ctl(program, nest_id, data, measured, ctl)?;
+        let req = MapRequest { program, nest: nest_id, data };
+        let mapping = self.compiler.map(&req, Some(measured), ctl)?;
 
         let nest = program.nest(nest_id);
         let space = IterationSpace::enumerate(nest, &program.params());

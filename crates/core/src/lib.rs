@@ -74,7 +74,9 @@ pub use affinity::{
 pub use assign::{assign_private, assign_shared, AlphaPolicy};
 pub use balance::{balance_regions, balance_regions_masked, region_loads, BalanceReport};
 pub use cache::CacheStats;
-pub use compiler::{Compiler, CompilerBuilder, MappingOptions, NestMapping, SharedObjective};
+pub use compiler::{
+    Compiler, CompilerBuilder, MapRequest, MappingOptions, NestMapping, SharedObjective,
+};
 pub use emit::{emit_openmp, emit_schedule_json};
 pub use hits::{AllMissModel, CmeModel, HitModel, MeasuredRates, OracleModel};
 pub use inspector::{Inspector, InspectorCostModel, InspectorReport};
@@ -85,8 +87,7 @@ pub use resilience::{
 pub use placement::{place_in_regions, place_in_regions_masked, PlacementPolicy};
 pub use platform::{LlcOrg, Platform};
 pub use session::{
-    AdmitTicket, MapRequest, MapResponse, MappingSession, MappingSessionBuilder, ServedMapping,
-    SessionStats,
+    AdmitTicket, MapResponse, MappingSession, MappingSessionBuilder, ServedMapping, SessionStats,
 };
 pub use vectors::{AffinityVec, EtaMetric, Mac, MacPolicy, Cac, CacPolicy};
 
@@ -101,11 +102,10 @@ pub use vectors::{AffinityVec, EtaMetric, Mac, MacPolicy, Cac, CacPolicy};
 /// way).
 pub mod prelude {
     pub use crate::admission::{AdmissionConfig, Priority, QualityLevel, TryMapError};
-    pub use crate::compiler::{Compiler, CompilerBuilder, MappingOptions, NestMapping};
+    pub use crate::compiler::{Compiler, CompilerBuilder, MapRequest, MappingOptions, NestMapping};
     pub use crate::platform::{LlcOrg, Platform};
     pub use crate::session::{
-        MapRequest, MapResponse, MappingSession, MappingSessionBuilder, ServedMapping,
-        SessionStats,
+        MapResponse, MappingSession, MappingSessionBuilder, ServedMapping, SessionStats,
     };
     pub use locmap_loopir::{Access, AffineExpr, DataEnv, LoopNest, NestId, Program};
     pub use locmap_noc::{

@@ -8,10 +8,9 @@
 use locmap_noc::{LocmapError, NodeId, RegionGrid, RegionId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Within-region core selection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlacementPolicy {
     /// Random core among the region's least-loaded cores (paper default).
     Random {

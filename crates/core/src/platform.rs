@@ -7,10 +7,9 @@
 
 use locmap_mem::{AddrMap, AddrMapConfig};
 use locmap_noc::{Coord, McPlacement, Mesh, RegionGrid};
-use serde::{Deserialize, Serialize};
 
 /// Last-level cache organization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LlcOrg {
     /// Each node's L2 bank caches only that node's data; an L1 miss always
     /// probes the local bank (no network), and an LLC miss travels
@@ -23,7 +22,7 @@ pub enum LlcOrg {
 }
 
 /// Everything the mapping pass knows about the machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Platform {
     /// The core/LLC-bank mesh.
     pub mesh: Mesh,

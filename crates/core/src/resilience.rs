@@ -5,7 +5,8 @@
 //! this module supplies the policy layer for faults that arrive while a
 //! workload is running. The [`ResilienceController`] consumes the typed
 //! fault notifications the simulator surfaces (see
-//! `locmap_sim::Simulator::run_nest_with_plan`) and decides, per incident:
+//! `locmap_sim::Simulator::run` under a fault plan) and decides, per
+//! incident:
 //!
 //! * **transient** — retry the same mapping after an exponential backoff
 //!   (with optional deterministic jitter), quarantining the flaky
@@ -35,7 +36,6 @@ use crate::platform::Platform;
 use locmap_noc::{
     reverse_link, FaultComponent, FaultEvent, FaultPlan, FaultState, Mesh, NodeId, RegionId,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -50,7 +50,7 @@ use std::fmt;
 /// (`backoff_base_cycles · backoff_factor^attempt`, capped at
 /// `max_backoff_cycles`) with an optional deterministic jitter so repeated
 /// retries of many components do not synchronize.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum retry/re-inspection rounds before accepting the outcome.
     pub max_retries: u32,
@@ -106,13 +106,8 @@ impl RetryPolicy {
     }
 }
 
-/// Deprecated alias kept for one release so out-of-tree callers of the
-/// inspector-private type keep compiling; pin in `deprecated_compat.rs`.
-#[deprecated(note = "RetryPolicy moved to locmap_core::resilience; use RetryPolicy directly")]
-pub type InspectorRetryPolicy = RetryPolicy;
-
 /// The controller's verdict on one fault incident.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
     /// Retry the interrupted work after a backoff; component quarantined.
     Transient,
@@ -122,7 +117,7 @@ pub enum FaultClass {
 }
 
 /// Tunables of the quarantine/heal state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuarantineConfig {
     /// Strikes within `strike_window` that promote transient → persistent.
     pub strike_threshold: u32,
@@ -142,7 +137,7 @@ impl Default for QuarantineConfig {
 /// Migration-cost model for moving a set's state to a new core:
 /// `Manhattan hops × state bytes / link bytes-per-cycle`, plus a fixed
 /// remap charge per incident.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationModel {
     /// Bytes of live state migrated per iteration of a moved set.
     pub state_bytes_per_iter: u64,
@@ -197,7 +192,7 @@ impl MigrationModel {
 }
 
 /// The rung of the degradation ladder a run ended on (worst adopted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum DegradationLevel {
     /// No persistent fault: the original mapping (plus transient retries).
     #[default]
@@ -222,7 +217,7 @@ impl fmt::Display for DegradationLevel {
 }
 
 /// What happened at one point of the recovery timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryAction {
     /// A fault surfaced as a typed simulator error.
     FaultArrived,
@@ -243,7 +238,7 @@ pub enum RecoveryAction {
 }
 
 /// One entry of the recovery trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryEvent {
     /// Absolute cycle of the event.
     pub cycle: u64,
@@ -271,7 +266,7 @@ impl fmt::Display for RecoveryEvent {
 
 /// The resilience section a healed run reports (attached to
 /// `locmap_sim::RunResult::resilience`).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResilienceSummary {
     /// Typed fault incidents the run observed.
     pub faults_seen: u32,

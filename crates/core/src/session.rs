@@ -21,29 +21,14 @@ use crate::cache::{
     fingerprint, hash_cme_options, hash_options, hash_platform, hash_request, CacheKey, CacheStats,
     MemoCache,
 };
-use crate::compiler::{Compiler, MappingOptions, NestMapping};
+use crate::compiler::{Compiler, MapRequest, MappingOptions, NestMapping};
+use crate::hits::{CmeModel, HitModel};
 use crate::platform::Platform;
 use locmap_cme::CmeEstimate;
-use locmap_loopir::{DataEnv, NestId, Program};
 use locmap_noc::{FaultState, LocmapError, RunControl};
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// One unit of batch work: map `nest` of `program` given `data`.
-///
-/// Mirrors the argument list of [`Compiler::map_nest`] (and the simulator's
-/// co-run `Slot`), borrowing the inputs so a batch over many nests of one
-/// program costs nothing to assemble.
-#[derive(Debug, Clone, Copy)]
-pub struct MapRequest<'a> {
-    /// The application owning the nest.
-    pub program: &'a Program,
-    /// Which nest to map.
-    pub nest: NestId,
-    /// Index-array contents, if irregular.
-    pub data: &'a DataEnv,
-}
 
 /// The answer to one [`MapRequest`].
 #[derive(Debug, Clone, PartialEq)]
@@ -169,7 +154,9 @@ struct Gate {
 /// let reqs = vec![MapRequest { program: &p, nest: id, data: &data }; 3];
 /// let out = session.map_batch(&reqs);
 /// assert_eq!(out.len(), 3);
-/// assert!(!out[0].cache_hit);
+/// // In-flight dedup: whichever worker claims the key first computes the
+/// // mapping, and the other two wait for it and hit.
+/// assert_eq!(out.iter().filter(|r| !r.cache_hit).count(), 1);
 /// assert_eq!(out[0].mapping, out[2].mapping);
 /// ```
 #[derive(Debug)]
@@ -328,10 +315,11 @@ impl MappingSession {
         ctl: &RunControl,
     ) -> Result<MapResponse, LocmapError> {
         let (mapping, cache_hit) = self.mappings.get_or_try_insert_with(self.mapping_key(r), || {
-            let (estimate, _) = self.cme.get_or_try_insert_with(self.cme_key(r), || {
-                self.compiler.estimate_nest_ctl(r.program, r.nest, r.data, ctl)
-            })?;
-            self.compiler.map_nest_with_estimate_ctl(r.program, r.nest, r.data, estimate, ctl)
+            let (estimate, _) = self
+                .cme
+                .get_or_try_insert_with(self.cme_key(r), || self.compiler.estimate(r, ctl))?;
+            let model = estimate.map(CmeModel::new);
+            self.compiler.map(r, model.as_ref().map(|m| m as &dyn HitModel), ctl)
         })?;
         Ok(MapResponse { mapping, cache_hit })
     }
@@ -339,7 +327,7 @@ impl MappingSession {
     /// Answers a request from the memo cache alone (the
     /// [`QualityLevel::Cached`] rung): no estimation, no mapping — `None`
     /// on a miss.
-    pub fn cached_one(&self, r: &MapRequest<'_>) -> Option<MapResponse> {
+    fn cached_one(&self, r: &MapRequest<'_>) -> Option<MapResponse> {
         self.mappings
             .get(&self.mapping_key(r))
             .map(|mapping| MapResponse { mapping, cache_hit: true })
@@ -348,7 +336,7 @@ impl MappingSession {
     /// Answers a request with the round-robin-with-locality heuristic
     /// (the [`QualityLevel::Heuristic`] rung): O(sets), no CME, no
     /// affinity analysis, never blocks and never fails.
-    pub fn heuristic_one(&self, r: &MapRequest<'_>) -> MapResponse {
+    fn heuristic_one(&self, r: &MapRequest<'_>) -> MapResponse {
         MapResponse { mapping: self.compiler.heuristic_mapping(r.program, r.nest), cache_hit: false }
     }
 
@@ -516,7 +504,7 @@ impl Drop for AdmitTicket<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use locmap_loopir::{Access, AffineExpr, LoopNest};
+    use locmap_loopir::{Access, AffineExpr, DataEnv, LoopNest, NestId, Program};
     use locmap_noc::{FaultPlan, NodeId};
 
     fn stream(name: &str, elems: u64) -> (Program, NestId) {
@@ -644,7 +632,7 @@ mod tests {
         // Measure the work of the CME stage alone and of the full pipeline.
         let probe = MappingSession::builder(Platform::paper_default()).build().unwrap();
         let est_ctl = RunControl::unlimited();
-        probe.compiler().estimate_nest_ctl(&p, id, &data, &est_ctl).unwrap();
+        probe.compiler().estimate(&r, &est_ctl).unwrap();
         let cme_units = est_ctl.spent_units();
         let full_ctl = RunControl::unlimited();
         let baseline = probe.map_one_ctl(&r, &full_ctl).unwrap();

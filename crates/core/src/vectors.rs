@@ -3,7 +3,6 @@
 
 use crate::platform::Platform;
 use locmap_noc::{FaultState, LocmapError, RegionId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A non-negative affinity (weight) vector, e.g. over MCs or regions.
@@ -11,7 +10,7 @@ use std::fmt;
 /// The paper's vectors sum to at most 1 (CME-refined MAI/CAI leave out the
 /// weight of accesses that never reach the relevant level), so no
 /// normalization invariant is enforced beyond non-negativity.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AffinityVec(pub Vec<f64>);
 
 impl AffinityVec {
@@ -107,7 +106,7 @@ impl From<Vec<f64>> for AffinityVec {
 /// the others exist for the DESIGN.md ablation.
 ///
 /// [`L1`]: EtaMetric::L1
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EtaMetric {
     /// Mean absolute difference (paper §3.4).
     #[default]
@@ -119,7 +118,7 @@ pub enum EtaMetric {
 }
 
 /// How MAC weights are derived from region↔MC distances.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum MacPolicy {
     /// Equal weight over the set of *nearest* MCs (ties split evenly) —
     /// reproduces Figure 6a exactly on the default platform.
@@ -131,7 +130,7 @@ pub enum MacPolicy {
 }
 
 /// The per-region memory-affinity-of-cores vectors (Figure 6a).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mac {
     vectors: Vec<AffinityVec>,
 }
@@ -229,7 +228,7 @@ impl Mac {
 }
 
 /// How CAC weights are derived.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacPolicy {
     /// Weight a region's cores give their own region's banks (paper: 0.5);
     /// the remainder is split evenly across immediate neighbor regions.
@@ -243,7 +242,7 @@ impl Default for CacPolicy {
 }
 
 /// The per-region cache-affinity-of-cores vectors (Figure 6c).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cac {
     vectors: Vec<AffinityVec>,
 }

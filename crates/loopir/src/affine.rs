@@ -5,16 +5,15 @@
 //! runtime matrix dimension — the paper's "limited symbolic analysis"), and
 //! `k` is a constant.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a symbolic program parameter (e.g. `N`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ParamId(pub u32);
 
 /// Runtime bindings for symbolic parameters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ParamEnv {
     values: HashMap<ParamId, i64>,
 }
@@ -60,7 +59,7 @@ impl ParamEnv {
 }
 
 /// An affine expression `Σ c_s·i_s + Σ d_p·P_p + constant`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct AffineExpr {
     /// Coefficient on each loop index; trailing zeros may be omitted.
     pub coeffs: Vec<i64>,

@@ -10,10 +10,9 @@
 use crate::affine::AffineExpr;
 use crate::nest::{Access, LoopNest, RefKind};
 use crate::program::Program;
-use serde::{Deserialize, Serialize};
 
 /// Result of testing a pair of references for dependence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DependenceKind {
     /// Provably no dependence.
     None,

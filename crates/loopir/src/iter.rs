@@ -7,14 +7,13 @@
 
 use crate::affine::ParamEnv;
 use crate::nest::LoopNest;
-use serde::{Deserialize, Serialize};
 
 /// An iteration vector: the values of all loop indices, outermost first.
 pub type IterVec = Vec<i64>;
 
 /// The enumerated iteration space of a nest, in lexicographic (execution)
 /// order. Stored flat for cache-friendly random access.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IterationSpace {
     depth: usize,
     flat: Vec<i64>,
@@ -105,7 +104,7 @@ impl IterationSpace {
 
 /// A set of consecutive iterations `[start, end)` of one nest — the unit of
 /// computation scheduling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IterationSet {
     /// Dense id of this set within its nest.
     pub id: usize,

@@ -2,18 +2,17 @@
 
 use crate::affine::{AffineExpr, ParamEnv};
 use crate::program::ArrayId;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a loop nest within a [`crate::Program`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NestId(pub u32);
 
 /// Identifier of an array reference within a nest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RefId(pub u32);
 
 /// Read or write access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Access {
     /// A load from the array.
     Read,
@@ -22,7 +21,7 @@ pub enum Access {
 }
 
 /// How a reference computes its element index.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RefKind {
     /// Affine subscript: element = expr(iteration vector). Regular
     /// applications are built entirely from these.
@@ -49,7 +48,7 @@ impl RefKind {
 }
 
 /// A single array reference in the nest body.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ArrayRef {
     /// The array being accessed.
     pub array: ArrayId,
@@ -62,7 +61,7 @@ pub struct ArrayRef {
 /// Bounds of one loop level: `lower <= i < upper`, where both bounds are
 /// affine in the *outer* loop indices and program parameters (supporting
 /// triangular nests like LU and Cholesky).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LoopBound {
     /// Inclusive lower bound.
     pub lower: AffineExpr,
@@ -81,7 +80,7 @@ impl LoopBound {
 ///
 /// The paper's unit of optimization: each parallel nest is independently
 /// analyzed and its iterations mapped to cores.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LoopNest {
     /// Human-readable name (for reports).
     pub name: String,

@@ -2,11 +2,10 @@
 
 use crate::affine::{ParamEnv, ParamId};
 use crate::nest::{ArrayRef, LoopNest, NestId, RefKind};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Identifier of an array within a [`Program`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ArrayId(pub u32);
 
 /// A program array with its virtual placement.
@@ -14,7 +13,7 @@ pub struct ArrayId(pub u32);
 /// Per the paper's OS cooperation (§4), the bits of the virtual address
 /// that select the MC and LLC bank survive translation, so the virtual
 /// layout *is* the physical layout for mapping purposes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Array {
     /// Name for reports.
     pub name: String,
@@ -51,7 +50,7 @@ impl Array {
 
 /// Runtime contents of index arrays, needed to evaluate indirect
 /// references. Regular programs use an empty env.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DataEnv {
     index_arrays: HashMap<ArrayId, Vec<i64>>,
 }
@@ -98,7 +97,7 @@ impl DataEnv {
 }
 
 /// A whole application: arrays, loop nests, parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Program {
     /// Program name (benchmark name in the evaluation).
     pub name: String,

@@ -9,11 +9,10 @@
 use crate::affine::AffineExpr;
 use crate::nest::{LoopNest, RefKind};
 use crate::program::Program;
-use serde::{Deserialize, Serialize};
 
 /// The dominant reuse a reference enjoys, with an estimate of the reuse
 /// distance in iterations of the innermost loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReuseKind {
     /// Subscript invariant in the innermost loop: the same element is
     /// touched every iteration.
@@ -35,7 +34,7 @@ pub enum ReuseKind {
 }
 
 /// Per-reference reuse classification for one nest.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReuseAnalysis {
     kinds: Vec<ReuseKind>,
 }

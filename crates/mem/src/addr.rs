@@ -16,11 +16,10 @@
 //! the MC and LLC bits, so we model physical addresses directly.
 
 use locmap_noc::McId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A physical byte address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysAddr(pub u64);
 
 impl PhysAddr {
@@ -42,7 +41,7 @@ impl fmt::Display for PhysAddr {
 }
 
 /// Distribution granularity for round-robin interleaving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Interleave {
     /// Consecutive pages go to consecutive targets.
     Page,
@@ -56,7 +55,7 @@ pub enum Interleave {
 /// address and the MC that owns it, by hashing within virtual chip
 /// quadrants. They model the `all-to-all`, `quadrant` and `SNC-4` modes of
 /// Intel Knights Landing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClusterMode {
     /// Addresses hash uniformly over all banks and all MCs, independently.
     AllToAll,
@@ -71,7 +70,7 @@ pub enum ClusterMode {
 }
 
 /// Parameters of the address-mapping policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AddrMapConfig {
     /// Page size in bytes (Table 4 default: 2 KB, the DRAM row size).
     pub page_bytes: u64,
@@ -106,7 +105,7 @@ impl AddrMapConfig {
 }
 
 /// Maps physical addresses to their home LLC bank and owning MC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AddrMap {
     cfg: AddrMapConfig,
 }

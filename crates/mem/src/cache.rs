@@ -5,10 +5,9 @@
 //! Addresses are tracked at line granularity; the cache stores no data,
 //! only tags and states, which is all a timing model needs.
 
-use serde::{Deserialize, Serialize};
 
 /// MOESI coherence state of a cached line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LineState {
     /// Modified: exclusive and dirty.
     Modified,
@@ -28,7 +27,7 @@ impl LineState {
 }
 
 /// Type of memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Access {
     /// A load.
     Read,
@@ -37,7 +36,7 @@ pub enum Access {
 }
 
 /// Geometry of a cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -65,7 +64,7 @@ impl CacheConfig {
 }
 
 /// A line evicted to make room for a fill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {
     /// Line index (physical address / line size) of the victim.
     pub line: u64,
@@ -74,7 +73,7 @@ pub struct Evicted {
 }
 
 /// Outcome of a cache access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lookup {
     /// The line was present.
     Hit,
@@ -93,7 +92,7 @@ impl Lookup {
 }
 
 /// Hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Number of accesses that hit.
     pub hits: u64,
@@ -115,7 +114,7 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct Entry {
     tag: u64,
     state: LineState,

@@ -7,11 +7,10 @@
 //! sparse; we use a hash map of 64-bit sharer masks (up to 64 cores; larger
 //! meshes chunk the mask).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A sparse full-map directory: line index → sharer bitmask(s).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Directory {
     sharers: HashMap<u64, Vec<u64>>,
     cores: usize,

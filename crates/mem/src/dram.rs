@@ -11,10 +11,9 @@
 
 use crate::addr::{AddrMap, PhysAddr};
 use locmap_noc::McId;
-use serde::{Deserialize, Serialize};
 
 /// DRAM generation (Figure 12 swaps DDR3-1333 for DDR4-2400).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DramKind {
     /// DDR3-1333 (Table 4 default).
     Ddr3_1333,
@@ -23,7 +22,7 @@ pub enum DramKind {
 }
 
 /// DRAM timing and structure parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
     /// Generation preset the timings came from.
     pub kind: DramKind,
@@ -96,7 +95,7 @@ impl Default for DramConfig {
 }
 
 /// Per-access and aggregate DRAM statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// Total requests served.
     pub requests: u64,

@@ -22,12 +22,11 @@ use crate::routing::{link_target_torus, Direction, Link};
 use crate::topology::{Coord, Mesh, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// A hardware component that can fail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultComponent {
     /// A physical mesh channel (both directions die together).
     Link(Link),
@@ -52,7 +51,7 @@ impl fmt::Display for FaultComponent {
 
 /// One scheduled failure: `component` dies at `inject_at` and, if
 /// `repair_at` is set, comes back at that cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// The component that fails.
     pub component: FaultComponent,
@@ -63,7 +62,7 @@ pub struct FaultEvent {
 }
 
 /// Requested component counts for [`FaultPlan::random`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounts {
     /// Number of physical channels to kill.
     pub links: usize,
@@ -84,7 +83,7 @@ impl FaultCounts {
 
 /// A deterministic, seed-reproducible schedule of component failures on
 /// one mesh.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     mesh: Mesh,
     mc_count: usize,
@@ -530,7 +529,7 @@ pub fn reverse_link(mesh: Mesh, link: Link) -> Link {
 }
 
 /// Dense alive/dead bitmaps for every component at one instant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultState {
     mesh: Mesh,
     dead_link: Vec<bool>,

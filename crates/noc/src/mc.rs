@@ -5,11 +5,10 @@
 //! the middle of each side instead.
 
 use crate::topology::{Coord, Mesh};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a memory controller, `0..mc_count`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct McId(pub u16);
 
 impl McId {
@@ -27,7 +26,7 @@ impl fmt::Display for McId {
 }
 
 /// Where the (four) memory controllers attach to the mesh.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum McPlacement {
     /// One MC at each corner of the chip — the paper's default
     /// (MC1 top-right, MC2 bottom-right, MC3 top-left, MC4 bottom-left,

@@ -23,13 +23,12 @@ use crate::packet::MessageKind;
 use crate::routing::{route_faulty, route_faulty_torus, route_xy, route_xy_torus, Link};
 use crate::stats::NetworkStats;
 use crate::topology::{Mesh, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Physical topology of the interconnect (the paper's §3.9 notes the
 /// approach generalizes beyond 2D meshes; the torus is the natural first
 /// extension — same routers, plus wraparound links).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TopologyKind {
     /// 2D mesh (paper default).
     #[default]
@@ -39,7 +38,7 @@ pub enum TopologyKind {
 }
 
 /// Static parameters of the on-chip network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NocConfig {
     /// Pipeline delay of each router in cycles (Table 4: 3 cycles).
     pub router_delay: u64,

@@ -4,7 +4,6 @@
 //! (request/response for shared S-NUCA banks, plus coherence) and LLC↔MC
 //! traffic (off-chip requests and cache-line fills).
 
-use serde::{Deserialize, Serialize};
 
 /// Width of one flit in bytes (256-bit links, as in commercial mesh
 /// interconnects). A 64-byte cache-line payload is 2 flits plus one
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 pub const FLIT_BYTES: usize = 32;
 
 /// The kind of a NoC message, which determines its size in flits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessageKind {
     /// L1-miss request to a (remote) LLC bank: header-only.
     LlcRequest,

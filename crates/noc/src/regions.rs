@@ -6,13 +6,12 @@
 //! 4 regions of 3x3 cores down to 36 regions of a single core each).
 
 use crate::topology::{Coord, Mesh, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a logical region. Regions are numbered row-major, so on a
 /// 3x3 region grid, `RegionId(0)` is the paper's R1 (top-left) and
 /// `RegionId(8)` is R9 (bottom-right).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RegionId(pub u16);
 
 impl RegionId {
@@ -33,7 +32,7 @@ impl fmt::Display for RegionId {
 ///
 /// When the mesh dimensions do not divide evenly, the trailing regions
 /// absorb the remainder, so every core belongs to exactly one region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RegionGrid {
     mesh: Mesh,
     cols: u16,
@@ -41,21 +40,8 @@ pub struct RegionGrid {
 }
 
 impl RegionGrid {
-    /// Partitions `mesh` into `cols x rows` regions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either region-grid dimension is zero or exceeds the
-    /// corresponding mesh dimension.
-    #[deprecated(
-        note = "use RegionGrid::try_new, which reports invalid grids instead of panicking"
-    )]
-    pub fn new(mesh: Mesh, cols: u16, rows: u16) -> Self {
-        Self::try_new(mesh, cols, rows).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Validating constructor: errors instead of panicking when the grid
-    /// is empty or does not fit the mesh, so user-supplied partitions
+    /// Partitions `mesh` into `cols x rows` regions. An empty grid or one
+    /// that does not fit the mesh is an error, so user-supplied partitions
     /// become diagnostics rather than crashes.
     pub fn try_new(mesh: Mesh, cols: u16, rows: u16) -> Result<Self, crate::error::LocmapError> {
         if cols == 0 || rows == 0 {

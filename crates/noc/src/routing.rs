@@ -7,11 +7,10 @@
 use crate::error::RouteError;
 use crate::faults::{link_exists, FaultState};
 use crate::topology::{Coord, Mesh, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One of the four mesh link directions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Towards larger x.
     East,
@@ -27,7 +26,7 @@ pub enum Direction {
 ///
 /// Links are the unit of contention in the network model: each direction of
 /// each physical channel arbitrates independently (full-duplex links).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Link {
     /// Source node of the directed link.
     pub from: NodeId,

@@ -1,13 +1,12 @@
 //! Aggregate network statistics.
 
-use serde::{Deserialize, Serialize};
 
 /// Accumulated statistics over all messages sent through a [`crate::Network`].
 ///
 /// `avg_latency` is the paper's headline "on-chip network latency" metric:
 /// the mean number of cycles between message injection and tail-flit
 /// delivery, including queuing delay from link contention.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NetworkStats {
     /// Number of messages delivered.
     pub messages: u64,

@@ -1,13 +1,12 @@
 //! Mesh topology: coordinates, node ids, Manhattan distance.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A physical (x, y) position on the 2D mesh.
 ///
 /// `x` grows to the right (east), `y` grows downwards (south), with
 /// `(0, 0)` at the top-left corner — matching the figures in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Coord {
     /// Column index (0-based, grows eastwards).
     pub x: u16,
@@ -41,7 +40,7 @@ impl fmt::Display for Coord {
 /// Dense identifier of a mesh node (core + L1 + L2 bank + router).
 ///
 /// Node ids are assigned in row-major order: `id = y * width + x`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u16);
 
 impl NodeId {
@@ -61,26 +60,16 @@ impl fmt::Display for NodeId {
 ///
 /// Each node contains a core, private L1 I/D caches, one L2 (LLC) bank and
 /// a router, as in Figure 3 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Mesh {
     width: u16,
     height: u16,
 }
 
 impl Mesh {
-    /// Creates a `width x height` mesh.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    #[deprecated(note = "use Mesh::try_new, which reports invalid sizes instead of panicking")]
-    pub fn new(width: u16, height: u16) -> Self {
-        Self::try_new(width, height).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Validating constructor: errors instead of panicking on a zero
-    /// dimension, so user-supplied sizes (CLI flags, config files) turn
-    /// into diagnostics rather than crashes.
+    /// Creates a `width x height` mesh. A zero dimension is an error, so
+    /// user-supplied sizes (CLI flags, config files) turn into diagnostics
+    /// rather than crashes.
     pub fn try_new(width: u16, height: u16) -> Result<Self, crate::error::LocmapError> {
         if width == 0 || height == 0 {
             return Err(crate::error::LocmapError::InvalidConfig(format!(

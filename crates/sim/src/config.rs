@@ -2,7 +2,6 @@
 
 use locmap_mem::{CacheConfig, DramConfig};
 use locmap_noc::{LocmapError, NocConfig};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Timing and structure parameters of the simulated manycore.
@@ -16,7 +15,7 @@ use std::fmt;
 /// bank) to match the reproduction's scaled-down workload footprints
 /// (megabytes instead of the paper's 451 MB–1.4 GB inputs), so steady-state
 /// LLC miss rates land in the paper's 13–37 % band.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// On-chip network parameters.
     pub noc: NocConfig,

@@ -16,9 +16,9 @@ use std::collections::BinaryHeap;
 
 /// The simulated manycore: mutable machine state plus configuration.
 ///
-/// A `Simulator` keeps cache/DRAM/network state across `run_nest` calls so
-/// multi-nest programs see warm caches; use [`Simulator::reset`] between
-/// independent experiments.
+/// A `Simulator` keeps cache/DRAM/network state across runs so multi-nest
+/// programs see warm caches; use [`Simulator::reset`] between independent
+/// experiments.
 #[derive(Debug)]
 pub struct Simulator {
     platform: Platform,
@@ -47,6 +47,23 @@ struct SimFaults {
     bank_redirect: Vec<u16>,
 }
 
+/// One run of [`Simulator::run`]: a mapped nest with its data, optionally
+/// under a fault timeline and a deadline/cancellation control.
+#[derive(Debug, Clone, Copy)]
+pub struct RunSpec<'a> {
+    /// The application owning the nest.
+    pub program: &'a Program,
+    /// The schedule to execute.
+    pub mapping: &'a NestMapping,
+    /// Index-array contents, if irregular.
+    pub data: &'a DataEnv,
+    /// A fault timeline and the absolute cycle the run starts at on its
+    /// clock; `None` runs in the simulator's current fault state.
+    pub plan: Option<(&'a FaultPlan, u64)>,
+    /// Deadline/cancellation control; `None` never aborts.
+    pub ctl: Option<&'a RunControl>,
+}
+
 /// Per-(set, ref) counters for measured hit rates.
 #[derive(Debug, Clone, Default)]
 struct RefCounters {
@@ -56,7 +73,7 @@ struct RefCounters {
     llc_hits: u64,
 }
 
-/// Live timeline state for [`Simulator::run_nest_with_plan`].
+/// Live timeline state of a [`Simulator::run`] under a fault plan.
 #[derive(Debug)]
 struct TimelineCtx<'a> {
     plan: &'a FaultPlan,
@@ -108,10 +125,10 @@ pub(crate) enum Level {
 
 /// Step-by-step construction of a [`Simulator`].
 ///
-/// Obtained from [`Simulator::builder`]. Unlike the deprecated
-/// [`Simulator::new`], [`SimulatorBuilder::build`] validates the timing
-/// configuration and platform consistency, returning a typed error instead
-/// of panicking, and can start the machine directly in degraded mode.
+/// Obtained from [`Simulator::builder`]. [`SimulatorBuilder::build`]
+/// validates the timing configuration and platform consistency, returning
+/// a typed error instead of panicking, and can start the machine directly
+/// in degraded mode.
 #[derive(Debug, Clone)]
 pub struct SimulatorBuilder {
     platform: Platform,
@@ -159,23 +176,6 @@ impl Simulator {
     /// Starts building the machine described by `platform`.
     pub fn builder(platform: Platform) -> SimulatorBuilder {
         SimulatorBuilder { platform, cfg: SimConfig::default(), faults: None }
-    }
-
-    /// Builds the machine described by `platform` with timing `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the platform's address map expects a different number of
-    /// LLC banks than the mesh has nodes.
-    #[deprecated(note = "use Simulator::builder")]
-    pub fn new(platform: Platform, cfg: SimConfig) -> Self {
-        let nodes = platform.mesh.node_count();
-        assert_eq!(
-            platform.addr_map.config().llc_banks as usize,
-            nodes,
-            "address map bank count must match mesh node count"
-        );
-        Self::construct(platform, cfg)
     }
 
     fn construct(platform: Platform, cfg: SimConfig) -> Self {
@@ -266,122 +266,84 @@ impl Simulator {
     }
 
     /// Executes one mapped nest to completion and returns its metrics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the active fault state has killed a core the mapping
+    /// places work on; [`Simulator::try_run_nest`] reports that instead.
     pub fn run_nest(&mut self, program: &Program, mapping: &NestMapping, data: &DataEnv) -> RunResult {
-        self.run_nest_offset(program, mapping, data, 0)
+        self.try_run_nest(program, mapping, data).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible variant of [`Self::run_nest`] for degraded mode: rejects
-    /// mappings that place work on a core whose router is dead (a fault
-    /// injected *after* mapping — the caller should remap, e.g. with the
-    /// degraded compiler, and retry).
+    /// [`Simulator::run_nest`] for degraded mode: rejects mappings that
+    /// place work on a core whose router is dead (a fault injected *after*
+    /// mapping — the caller should remap, e.g. with the degraded compiler,
+    /// and retry).
     pub fn try_run_nest(
         &mut self,
         program: &Program,
         mapping: &NestMapping,
         data: &DataEnv,
     ) -> Result<RunResult, LocmapError> {
-        if let Some(f) = &self.faults {
-            for (s, &core) in mapping.assignment.iter().enumerate() {
-                if !f.state.router_alive(core) {
-                    return Err(LocmapError::InvalidConfig(format!(
-                        "iteration set {s} is mapped to dead core {core}; remap before running"
-                    )));
-                }
-            }
-        }
-        Ok(self.run_nest(program, mapping, data))
+        let spec = RunSpec { program, mapping, data, plan: None, ctl: None };
+        self.run(&spec).map_err(|e| match e {
+            SimError::InvalidMapping(msg) => LocmapError::InvalidConfig(msg),
+            e => unreachable!("a run without a plan or control cannot fail with: {e}"),
+        })
     }
 
-    /// Like [`run_nest`](Self::run_nest) but with every physical address
-    /// offset by `addr_offset` bytes — used by the multiprogramming harness
-    /// to give co-running applications disjoint address spaces.
-    pub fn run_nest_offset(
-        &mut self,
-        program: &Program,
-        mapping: &NestMapping,
-        data: &DataEnv,
-        addr_offset: u64,
-    ) -> RunResult {
-        match self.run_nest_inner(program, mapping, data, addr_offset, None, None) {
-            Ok(r) => r,
-            Err(e) => unreachable!("timeline-free runs cannot fault: {e}"),
-        }
-    }
-
-    /// [`Simulator::run_nest`] under a deadline/cancellation
-    /// [`RunControl`].
+    /// Executes one mapped nest as described by `spec`.
     ///
-    /// The engine checkpoints `ctl` once per simulated iteration (one
-    /// work unit each), so a cancellation or exhausted budget is observed
-    /// within one iteration's worth of host work and surfaces as
-    /// [`SimError::Aborted`] carrying the metrics accumulated so far.
-    /// With an unlimited control the result is bit-identical to
-    /// [`Simulator::run_nest`]. The machine state (caches, network) is
-    /// left as of the abort point — call [`Simulator::reset`] before
-    /// reusing the simulator for an unrelated experiment.
-    pub fn run_nest_ctl(
-        &mut self,
-        program: &Program,
-        mapping: &NestMapping,
-        data: &DataEnv,
-        ctl: &RunControl,
-    ) -> Result<RunResult, SimError> {
-        self.run_nest_inner(program, mapping, data, 0, None, Some(ctl))
-    }
-
-    /// Executes one mapped nest while `plan`'s fault clock advances.
+    /// Mappings with work on a core that is dead when the run starts are
+    /// rejected with [`SimError::InvalidMapping`] before anything runs.
     ///
-    /// The segment starts at absolute cycle `start_cycle` (the returned
-    /// metrics are relative to it) in `plan.state_at(start_cycle)`. At
-    /// every later boundary of [`FaultPlan::change_cycles`] the machine
-    /// swaps in `state_at(boundary)`; in-flight work that a newly-dead
+    /// With [`RunSpec::plan`] set to `(plan, start_cycle)`, the run starts
+    /// at absolute cycle `start_cycle` (the returned metrics are relative
+    /// to it) in `plan.state_at(start_cycle)`, and the plan's fault clock
+    /// advances with it. At every later boundary of
+    /// [`FaultPlan::change_cycles`] the machine swaps in
+    /// `state_at(boundary)`; in-flight work that a newly-dead
     /// link/router/MC/bank interrupts surfaces as [`SimError::Transient`]
-    /// (carrying which sets completed and the partial metrics), and a
-    /// state the machine cannot survive — partitioned mesh, no MC or bank
-    /// left — as [`SimError::Unsurvivable`]. Mappings with work on a core
-    /// that is already dead at `start_cycle` are rejected with
-    /// [`SimError::InvalidMapping`] before anything runs.
-    ///
-    /// The caller (normally the resilience heal driver,
-    /// `locmap_bench::heal`) retries transient faults, remaps the
-    /// incomplete sets after persistent ones, or degrades. On success the
-    /// machine is left in the state of the last crossed boundary, so a
+    /// (carrying which sets completed and the partial metrics), and a state
+    /// the machine cannot survive — partitioned mesh, no MC or bank left —
+    /// as [`SimError::Unsurvivable`]. The caller (normally the resilience
+    /// heal driver, `locmap_bench::heal`) retries transient faults, remaps
+    /// the incomplete sets after persistent ones, or degrades. On success
+    /// the machine is left in the state of the last crossed boundary, so a
     /// follow-on segment continues from a consistent machine.
-    pub fn run_nest_with_plan(
-        &mut self,
-        program: &Program,
-        mapping: &NestMapping,
-        data: &DataEnv,
-        plan: &FaultPlan,
-        start_cycle: u64,
-    ) -> Result<RunResult, SimError> {
-        let state = plan.state_at(start_cycle);
-        self.set_faults(&state)
-            .map_err(|source| SimError::Unsurvivable { cycle: start_cycle, source })?;
+    ///
+    /// With [`RunSpec::ctl`] set, the engine checkpoints the control once
+    /// per simulated iteration (one work unit each), so a cancellation or
+    /// exhausted budget is observed within one iteration's worth of host
+    /// work and surfaces as [`SimError::Aborted`] carrying the metrics
+    /// accumulated so far. An unlimited control changes nothing in the
+    /// result. After an abort the machine state (caches, network) is left
+    /// as of the abort point — call [`Simulator::reset`] before reusing the
+    /// simulator for an unrelated experiment. Without a control the engine
+    /// never checkpoints.
+    pub fn run(&mut self, spec: &RunSpec<'_>) -> Result<RunResult, SimError> {
+        let RunSpec { program, mapping, data, plan, ctl } = *spec;
+        let mut timeline = match plan {
+            Some((plan, start_cycle)) => {
+                self.set_faults(&plan.state_at(start_cycle))
+                    .map_err(|source| SimError::Unsurvivable { cycle: start_cycle, source })?;
+                let boundaries: Vec<u64> =
+                    plan.change_cycles().into_iter().filter(|&b| b > start_cycle).collect();
+                Some(TimelineCtx { plan, start_cycle, boundaries, next: 0 })
+            }
+            None => None,
+        };
         if let Some(f) = &self.faults {
             for (s, &core) in mapping.assignment.iter().enumerate() {
                 if !f.state.router_alive(core) {
+                    let at = plan.map_or(String::new(), |(_, c)| format!(" at cycle {c}"));
                     return Err(SimError::InvalidMapping(format!(
-                        "iteration set {s} is mapped to dead core {core} at cycle {start_cycle}"
+                        "iteration set {s} is mapped to dead core {core}{at}; remap before running"
                     )));
                 }
             }
         }
-        let boundaries: Vec<u64> =
-            plan.change_cycles().into_iter().filter(|&b| b > start_cycle).collect();
-        let ctx = TimelineCtx { plan, start_cycle, boundaries, next: 0 };
-        self.run_nest_inner(program, mapping, data, 0, Some(ctx), None)
-    }
 
-    fn run_nest_inner(
-        &mut self,
-        program: &Program,
-        mapping: &NestMapping,
-        data: &DataEnv,
-        addr_offset: u64,
-        mut timeline: Option<TimelineCtx>,
-        ctl: Option<&RunControl>,
-    ) -> Result<RunResult, SimError> {
         // The run's clock starts at zero: release link and bank occupancy
         // left over from earlier runs (cache contents stay warm).
         self.net.reset_contention();
@@ -513,7 +475,7 @@ impl Simulator {
 
             let iv = space.get(k);
             for (ri, r) in nest.refs.iter().enumerate() {
-                let addr = program.resolve(r, iv, data) + addr_offset;
+                let addr = program.resolve(r, iv, data);
                 let acc = match r.access {
                     Access::Read => MemAccess::Read,
                     Access::Write => MemAccess::Write,
@@ -1024,6 +986,11 @@ mod tests {
     use locmap_core::Compiler;
     use locmap_loopir::{AffineExpr, LoopNest};
 
+    /// A plain run of `mapping`: no fault plan, no control.
+    fn spec<'a>(p: &'a Program, mapping: &'a NestMapping, data: &'a DataEnv) -> RunSpec<'a> {
+        RunSpec { program: p, mapping, data, plan: None, ctl: None }
+    }
+
     fn demo_program(elems: u64, refs: usize) -> (Program, locmap_loopir::NestId) {
         let mut p = Program::new("demo");
         let mut nest = LoopNest::rectangular("n", &[elems as i64]);
@@ -1277,7 +1244,9 @@ mod tests {
         let plain = sim.run_nest(&p, &mapping, &DataEnv::new());
         let mut sim = Simulator::builder(platform.clone()).build().unwrap();
         let plan = FaultPlan::new(platform.mesh, platform.mc_count());
-        let timed = sim.run_nest_with_plan(&p, &mapping, &DataEnv::new(), &plan, 0).unwrap();
+        let timed = sim
+            .run(&RunSpec { plan: Some((&plan, 0)), ..spec(&p, &mapping, &DataEnv::new()) })
+            .unwrap();
         assert_eq!(plain.cycles, timed.cycles);
         assert_eq!(plain.network, timed.network);
     }
@@ -1299,7 +1268,9 @@ mod tests {
         })
         .unwrap();
         let mut sim = Simulator::builder(platform).build().unwrap();
-        let r = sim.run_nest_with_plan(&p, &mapping, &DataEnv::new(), &plan, 0).unwrap();
+        let r = sim
+            .run(&RunSpec { plan: Some((&plan, 0)), ..spec(&p, &mapping, &DataEnv::new()) })
+            .unwrap();
         assert_eq!(r.cycles, clean.cycles);
     }
 
@@ -1320,7 +1291,9 @@ mod tests {
         plan.push(FaultEvent { component: FaultComponent::Router(dead), inject_at: mid, repair_at: None })
             .unwrap();
         let mut sim = Simulator::builder(platform.clone()).build().unwrap();
-        let err = sim.run_nest_with_plan(&p, &mapping, &DataEnv::new(), &plan, 0).unwrap_err();
+        let err = sim
+            .run(&RunSpec { plan: Some((&plan, 0)), ..spec(&p, &mapping, &DataEnv::new()) })
+            .unwrap_err();
         match err {
             SimError::Transient(t) => {
                 assert_eq!(t.cycle, mid);
@@ -1354,7 +1327,9 @@ mod tests {
                 .unwrap();
         }
         let mut sim = Simulator::builder(platform).build().unwrap();
-        let err = sim.run_nest_with_plan(&p, &mapping, &DataEnv::new(), &plan, 0).unwrap_err();
+        let err = sim
+            .run(&RunSpec { plan: Some((&plan, 0)), ..spec(&p, &mapping, &DataEnv::new()) })
+            .unwrap_err();
         assert!(matches!(err, SimError::Unsurvivable { cycle, .. } if cycle == mid), "{err}");
     }
 
@@ -1369,7 +1344,9 @@ mod tests {
         let plan = FaultPlan::new(platform.mesh, platform.mc_count())
             .dead_router(platform.mesh.node_at(2, 2));
         let mut sim = Simulator::builder(platform).build().unwrap();
-        let err = sim.run_nest_with_plan(&p, &mapping, &DataEnv::new(), &plan, 0).unwrap_err();
+        let err = sim
+            .run(&RunSpec { plan: Some((&plan, 0)), ..spec(&p, &mapping, &DataEnv::new()) })
+            .unwrap_err();
         assert!(matches!(err, SimError::InvalidMapping(_)), "{err}");
     }
 
@@ -1391,7 +1368,7 @@ mod tests {
         .unwrap();
         let mut sim = Simulator::builder(platform.clone()).build().unwrap();
         let r = sim
-            .run_nest_with_plan(&p, &mapping, &DataEnv::new(), &plan, 10_000)
+            .run(&RunSpec { plan: Some((&plan, 10_000)), ..spec(&p, &mapping, &DataEnv::new()) })
             .unwrap();
         assert!(r.cycles > 0);
         assert!(sim.faults().is_some_and(FaultState::is_clean), "machine healed");
@@ -1406,8 +1383,10 @@ mod tests {
         let mut sim = Simulator::builder(platform.clone()).build().unwrap();
         let plain = sim.run_nest(&p, &mapping, &DataEnv::new());
         let mut sim = Simulator::builder(platform).build().unwrap();
-        let under_ctl =
-            sim.run_nest_ctl(&p, &mapping, &DataEnv::new(), &RunControl::unlimited()).unwrap();
+        let ctl = RunControl::unlimited();
+        let under_ctl = sim
+            .run(&RunSpec { ctl: Some(&ctl), ..spec(&p, &mapping, &DataEnv::new()) })
+            .unwrap();
         assert_eq!(plain.cycles, under_ctl.cycles);
         assert_eq!(plain.network, under_ctl.network);
         assert_eq!(plain.dram.requests, under_ctl.dram.requests);
@@ -1423,7 +1402,9 @@ mod tests {
         let mut sim = Simulator::builder(platform).build().unwrap();
         let budget = Budget::unlimited().with_work_units(500);
         let ctl = RunControl::new(CancelToken::new(), budget);
-        let err = sim.run_nest_ctl(&p, &mapping, &DataEnv::new(), &ctl).unwrap_err();
+        let err = sim
+            .run(&RunSpec { ctl: Some(&ctl), ..spec(&p, &mapping, &DataEnv::new()) })
+            .unwrap_err();
         match err {
             SimError::Aborted { reason, partial } => {
                 assert!(
@@ -1448,7 +1429,9 @@ mod tests {
         let mapping = compiler.map_nest(&p, id, &DataEnv::new());
         let mut sim = Simulator::builder(platform).build().unwrap();
         let ctl = RunControl::new(CancelToken::cancel_after_polls(7), Budget::unlimited());
-        let err = sim.run_nest_ctl(&p, &mapping, &DataEnv::new(), &ctl).unwrap_err();
+        let err = sim
+            .run(&RunSpec { ctl: Some(&ctl), ..spec(&p, &mapping, &DataEnv::new()) })
+            .unwrap_err();
         match err {
             SimError::Aborted { reason, .. } => {
                 assert_eq!(reason, LocmapError::Cancelled { completed: 7, total: 10_000 });

@@ -10,10 +10,9 @@
 use locmap_core::{LlcOrg, Platform};
 use locmap_mem::{AddrMap, AddrMapConfig, ClusterMode, Interleave};
 use locmap_noc::{McPlacement, Mesh, RegionGrid};
-use serde::{Deserialize, Serialize};
 
 /// KNL cluster mode (§5, "Results with Intel KNL").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KnlMode {
     /// Addresses hash uniformly over all tiles' cache slices and all MCs.
     AllToAll,

@@ -44,7 +44,7 @@ mod timeline;
 mod viz;
 
 pub use config::SimConfig;
-pub use engine::{Simulator, SimulatorBuilder};
+pub use engine::{RunSpec, Simulator, SimulatorBuilder};
 pub use knl::{knl_platform, KnlMode};
 pub use multi::{run_multiprogram, run_multiprogram_parallel, MultiprogramResult, Slot};
 pub use result::RunResult;
@@ -58,7 +58,7 @@ pub use viz::{ascii_heatmap, core_load_map, router_pressure};
 /// tests that drive the simulator need only this one glob.
 pub mod prelude {
     pub use crate::config::SimConfig;
-    pub use crate::engine::{Simulator, SimulatorBuilder};
+    pub use crate::engine::{RunSpec, Simulator, SimulatorBuilder};
     pub use crate::multi::{
         run_multiprogram, run_multiprogram_parallel, MultiprogramResult, Slot,
     };

@@ -12,7 +12,6 @@ use locmap_core::{NestMapping, Platform};
 use locmap_loopir::{Access, DataEnv, IterationSpace, Program};
 use locmap_mem::Access as MemAccess;
 use locmap_noc::LocmapError;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,7 +28,7 @@ pub struct Slot<'a> {
 }
 
 /// Result of a co-run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MultiprogramResult {
     /// Completion cycle of each application (its slowest core).
     pub app_cycles: Vec<u64>,

@@ -3,10 +3,9 @@
 use locmap_core::{AffinityVec, MeasuredRates, ResilienceSummary};
 use locmap_mem::{CacheStats, DramStats};
 use locmap_noc::NetworkStats;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of executing one mapped nest.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunResult {
     /// Execution time in cycles: the barrier time (max over cores) of the
     /// nest, plus any overhead cycles charged by the caller.
@@ -33,7 +32,6 @@ pub struct RunResult {
     /// remaps, MTTR, migration cost and the degradation level. `None` for
     /// plain runs; filled in by the heal driver
     /// (`locmap_bench::heal`) when a run recovered from mid-run faults.
-    #[serde(default)]
     pub resilience: Option<ResilienceSummary>,
 }
 

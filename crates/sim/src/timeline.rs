@@ -1,12 +1,13 @@
 //! Typed errors for timeline-driven (online-fault) simulation.
 //!
-//! [`crate::Simulator::run_nest_with_plan`] executes a nest while a
-//! [`locmap_noc::FaultPlan`]'s clock advances: at every `change_cycles()`
-//! boundary the machine swaps in `state_at(cycle)`. Work that a newly-dead
-//! component interrupts does not silently complete — it surfaces as a
-//! [`TransientFault`] carrying everything a resilience controller needs to
-//! recover: the blamed component, the interruption cycle, which iteration
-//! sets had already finished, and the partial metrics of the segment.
+//! [`crate::Simulator::run`] with a [`crate::RunSpec::plan`] executes a
+//! nest while a [`locmap_noc::FaultPlan`]'s clock advances: at every
+//! `change_cycles()` boundary the machine swaps in `state_at(cycle)`. Work
+//! that a newly-dead component interrupts does not silently complete — it
+//! surfaces as a [`TransientFault`] carrying everything a resilience
+//! controller needs to recover: the blamed component, the interruption
+//! cycle, which iteration sets had already finished, and the partial
+//! metrics of the segment.
 
 use crate::result::RunResult;
 use locmap_noc::{FaultComponent, LocmapError, NodeId};
@@ -14,8 +15,9 @@ use std::fmt;
 
 /// A mid-run component death interrupted in-flight work.
 ///
-/// Returned by [`crate::Simulator::run_nest_with_plan`] when, at a fault
-/// boundary, a packet (or a core) was using a component that just died.
+/// Returned by a [`crate::Simulator::run`] under a fault plan when, at a
+/// fault boundary, a packet (or a core) was using a component that just
+/// died.
 /// The run is *not* lost: `completed` says which iteration sets finished
 /// before the interruption (the interrupted iteration itself counts as
 /// unfinished), and `partial` holds the metrics accumulated so far so the
@@ -56,7 +58,7 @@ impl fmt::Display for TransientFault {
     }
 }
 
-/// Why a timeline-driven run could not complete.
+/// Why a [`crate::Simulator::run`] could not complete.
 #[derive(Debug)]
 pub enum SimError {
     /// A mid-run fault interrupted in-flight work; retry or remap and
@@ -70,8 +72,8 @@ pub enum SimError {
         /// The validation error from applying the state.
         source: LocmapError,
     },
-    /// The mapping is not runnable under the plan's state at the start
-    /// cycle (work placed on a dead core); remap before running.
+    /// The mapping is not runnable in the fault state at the start of the
+    /// run (work placed on a dead core); remap before running.
     InvalidMapping(String),
     /// The run was cooperatively aborted through its
     /// [`locmap_noc::RunControl`]: the budget ran out or the token was

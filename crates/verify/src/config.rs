@@ -1,13 +1,12 @@
 //! Verifier configuration.
 
 use crate::diag::{Code, Severity};
-use serde::{Deserialize, Serialize};
 
 /// Which passes run and how strictly findings are treated.
 ///
 /// The default runs all four passes with every code at its documented
 /// severity — the configuration CI gates on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VerifyConfig {
     /// Tolerance for floating-point comparisons (vector masses, η values).
     pub epsilon: f64,

@@ -8,16 +8,13 @@
 
 use locmap_loopir::NestId;
 use locmap_noc::{Link, NodeId, RegionId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How seriously a diagnostic should be taken.
 ///
 /// Ordered: `Allow < Warn < Deny`, so severity comparisons and "worst
 /// finding" folds work with the derived `Ord`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Recorded but not reported by default — a suppressed finding.
     Allow,
@@ -42,9 +39,7 @@ impl fmt::Display for Severity {
 /// The hundreds digit groups codes by pass: `LM00xx` loop-nest lints,
 /// `LM01xx` affinity-vector invariants, `LM02xx` mapping verification,
 /// `LM03xx` routing/topology verification.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Code(pub u16);
 
 impl Code {
@@ -168,7 +163,7 @@ impl fmt::Display for Code {
 }
 
 /// What a diagnostic is about — the verifier's analogue of a source span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Entity {
     /// A whole loop nest.
     Nest(NestId),
@@ -209,7 +204,7 @@ impl fmt::Display for Entity {
 }
 
 /// One verifier finding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
     /// The stable code.
     pub code: Code,

@@ -1,13 +1,12 @@
 //! Workload descriptors: scale, paper metadata, and the bundled program.
 
 use locmap_loopir::{DataEnv, Program};
-use serde::{Deserialize, Serialize};
 
 /// Input-size scaling (Figure 17 runs the original, ~2× and ~4× inputs).
 ///
 /// The factor multiplies the *total* input size; builders convert it to
 /// linear-dimension factors as appropriate for their dimensionality.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
     factor: f64,
 }
@@ -62,7 +61,7 @@ impl Default for Scale {
 
 /// The paper's Table 3 row for a benchmark (reported values, kept as
 /// metadata so harnesses can print paper-vs-measured).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Table3Info {
     /// "Number of Loop Nests" column.
     pub loop_nests: u32,

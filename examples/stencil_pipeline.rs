@@ -34,13 +34,9 @@ fn main() {
     // --- CME: which accesses stay on chip?
     let space = IterationSpace::enumerate(nest, &program.params());
     let sets = space.split_by_fraction(0.0025);
-    let est = CmeEstimator::new(CmeConfig::default()).estimate(
-        program,
-        nest,
-        &space,
-        &sets,
-        &DataEnv::new(),
-    );
+    let est = CmeEstimator::new(CmeConfig::default())
+        .estimate(program, nest, &space, &sets, &DataEnv::new(), &RunControl::unlimited())
+        .expect("an unlimited RunControl never aborts");
     println!(
         "CME: mean LLC hit probability {:.2}, alpha(set 0) = {:.2}",
         est.mean_hit_probability(),
